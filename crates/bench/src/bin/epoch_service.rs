@@ -25,7 +25,7 @@ use dhs_bench::table::Table;
 use dhs_bench::Args;
 use dhs_core::{histogram_sort, EpochSorter, SortConfig, WarmStart};
 use dhs_runtime::{run, ClusterConfig, RunnerEngine};
-use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
+use dhs_workloads::{Distribution, EpochProfile, EpochStream, Layout};
 
 /// One epoch of one grid cell, aggregated across ranks.
 struct EpochRow {
@@ -72,16 +72,8 @@ fn run_cell(
     let out = run(cluster, move |comm| {
         let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
         let mut rows = Vec::with_capacity(epochs as usize);
-        for epoch in 0..epochs {
-            let mut batch = epoch_rank_keys(
-                profile,
-                Layout::Balanced,
-                n_total,
-                p,
-                comm.rank(),
-                seed,
-                epoch,
-            );
+        let stream = EpochStream::new(profile, Layout::Balanced, n_total, p, comm.rank(), seed);
+        for mut batch in stream.take(epochs as usize) {
             let mut cold_ref = batch.clone();
             let stats = svc.sort_epoch(&mut batch);
             // The seeded == cold invariant: a cold one-shot sort of the

@@ -1230,25 +1230,21 @@ fn run_pipeline_warm<K: Key>(
             let n_recv = received.total_len() as u64;
             let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
             match cfg.merge {
-                MergeAlgo::Resort if t <= 1 => {
-                    // The receive buffer is already flat: re-sort it
-                    // directly, zero copies.
-                    let mut all: Vec<K> = received.into_data();
-                    local_sort_exec(comm, &mut all, cfg.local_sort, kernels);
-                    *sorted_local = all;
-                }
                 MergeAlgo::Resort => {
-                    // Hybrid host execution: the received runs are
-                    // already sorted, so merge them with the flat
-                    // pairwise tree instead of re-sorting the flat
-                    // buffer — a genuine algorithmic win even at an
-                    // effective fan-out of 1. Output is the same sorted
-                    // key sequence; the charge is the modelled re-sort,
-                    // as configured.
+                    // The received runs are already sorted, so merge
+                    // them with the flat pairwise tree instead of
+                    // re-sorting the flat buffer — an algorithmic win
+                    // at every thread budget. The merge ping-pongs
+                    // between the receive buffer and the retired local
+                    // array, so it allocates nothing n-sized. Output is
+                    // the same sorted key sequence; the charge is the
+                    // modelled re-sort, as configured.
                     charge_local_sort::<K>(comm, n_recv, cfg.local_sort);
                     let te = comm.threads().exec_budget();
+                    let retired = std::mem::take(sorted_local);
+                    let (data, counts) = received.into_parts();
                     *sorted_local =
-                        dhs_shm::flat_tree_merge_with(kernels, &received.as_slices(), te);
+                        dhs_shm::flat_tree_merge_packed(kernels, data, &counts, retired, te);
                 }
                 _ => {
                     comm.charge(Work::MergeElems {

@@ -93,6 +93,11 @@ impl<T> RecvRuns<T> {
         self.data
     }
 
+    /// Take the flat buffer and the per-source counts without copying.
+    pub fn into_parts(self) -> (Vec<T>, Vec<usize>) {
+        (self.data, self.counts)
+    }
+
     /// Split the runs back into owned per-source vectors (the legacy
     /// `alltoallv` return shape). One copy per element — prefer
     /// [`RecvRuns::as_slices`] / [`RecvRuns::into_data`] where the

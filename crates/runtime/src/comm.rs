@@ -459,27 +459,14 @@ impl Comm {
         report
     }
 
+    /// Run one collective whose output every rank receives as is.
     fn run_collective<T, R, F>(&self, name: &'static str, input: T, combine: F) -> Arc<R>
     where
         T: Send + 'static,
         R: Send + Sync + 'static,
-        F: FnOnce(Vec<T>, &crate::state::CollectiveCtx<'_>) -> (R, EndTimes),
+        F: FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
     {
-        self.check_crash();
-        let g = self.gen.get();
-        self.gen.set(g + 1);
-        let enter_ns = self.local().now_ns();
-        let out = self.state.collective(self.rank, g, input, combine);
-        if let Some(sink) = self.sink() {
-            sink.complete(
-                Cow::Borrowed(name),
-                "collective",
-                enter_ns,
-                self.local().now_ns(),
-                0,
-            );
-        }
-        out
+        self.run_collective_view(name, input, combine, Arc::clone, false)
     }
 
     /// Zero-copy variant of [`Comm::run_collective`]: the input may be a
@@ -1325,9 +1312,8 @@ impl Comm {
                 arrival_ns,
             });
         }
-        // Event-driven receive: wake the destination's task (a no-op
-        // under the thread engine, whose mailbox condvar was notified
-        // by the pushes above).
+        // Event-driven receive: wake the destination rank, now that
+        // every push above is visible in its mailbox.
         world.wake_rank(dst_g);
     }
 

@@ -22,7 +22,7 @@ pub mod sort;
 pub use fork::{join, map_parallel};
 pub use kernels::{KernelPolicy, Kernels};
 pub use pmerge::{
-    flat_tree_merge, flat_tree_merge_with, parallel_binary_tree_merge,
+    flat_tree_merge, flat_tree_merge_packed, flat_tree_merge_with, parallel_binary_tree_merge,
     parallel_binary_tree_merge_by, parallel_kway_chunked, parallel_merge_into,
     parallel_merge_into_by,
 };

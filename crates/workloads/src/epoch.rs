@@ -82,8 +82,9 @@ fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 /// all ranks of a simulated world can generate their slices locally.
 ///
 /// Churn streams replay generations `1..=epoch` from the epoch-0 base
-/// batch, so the cost is `O(epoch · n_local)` — fine for benches, and
-/// the only way to keep the stream a pure function of its arguments.
+/// batch, so the cost is `O(epoch · n_local)`: this is the pure-function
+/// reference. A caller walking epochs in order should use
+/// [`EpochStream`], which yields the same batches at `O(n_local)` each.
 ///
 /// ```
 /// use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
@@ -125,20 +126,120 @@ pub fn epoch_rank_keys(
             dist,
             keep_permille,
         } => {
-            let keep = u64::from(keep_permille.min(1000));
             let mut v = rank_local_keys(dist, layout, n_total, p, rank, epoch_seed(seed, 0));
             for e in 1..=epoch {
-                let gen_seed = rank_seed(epoch_seed(seed, e), rank);
-                let fresh = dist.generate_u64(v.len(), gen_seed);
-                let mut coin = SplitMix64(gen_seed ^ 0xD6E8_FEB8_6659_FD93);
-                for (slot, new) in v.iter_mut().zip(fresh) {
-                    if coin.next_u64() % 1000 >= keep {
-                        *slot = new;
-                    }
-                }
+                churn_step(&mut v, dist, keep_permille, rank, seed, e);
             }
             v
         }
+    }
+}
+
+/// Advance a churn batch from generation `epoch - 1` to `epoch`.
+fn churn_step(
+    v: &mut [u64],
+    dist: Distribution,
+    keep_permille: u32,
+    rank: usize,
+    seed: u64,
+    epoch: u64,
+) {
+    let keep = u64::from(keep_permille.min(1000));
+    let gen_seed = rank_seed(epoch_seed(seed, epoch), rank);
+    let fresh = dist.generate_u64(v.len(), gen_seed);
+    let mut coin = SplitMix64(gen_seed ^ 0xD6E8_FEB8_6659_FD93);
+    for (slot, new) in v.iter_mut().zip(fresh) {
+        if coin.next_u64() % 1000 >= keep {
+            *slot = new;
+        }
+    }
+}
+
+/// One rank's epoch stream, generated incrementally: the endless
+/// iterator of [`epoch_rank_keys`] batches for epochs 0, 1, 2, …, at
+/// `O(n_local)` per epoch for every profile (a churn stream keeps its
+/// previous generation and steps it once instead of replaying from
+/// epoch 0).
+///
+/// ```
+/// use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, EpochStream, Layout};
+///
+/// let churn = EpochProfile::Churn { dist: Distribution::paper_uniform(), keep_permille: 900 };
+/// let mut stream = EpochStream::new(churn, Layout::Balanced, 1 << 10, 4, 1, 7);
+/// let e0 = stream.next().unwrap();
+/// let e1 = stream.next().unwrap();
+/// assert_eq!(e1, epoch_rank_keys(churn, Layout::Balanced, 1 << 10, 4, 1, 7, 1));
+/// assert_ne!(e0, e1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct EpochStream {
+    profile: EpochProfile,
+    layout: Layout,
+    n_total: usize,
+    p: usize,
+    rank: usize,
+    seed: u64,
+    /// The epoch the next call yields.
+    epoch: u64,
+    /// The churn batch of epoch `epoch - 1` (churn profiles only).
+    prev: Option<Vec<u64>>,
+}
+
+impl EpochStream {
+    /// The stream [`epoch_rank_keys`] describes for these arguments,
+    /// positioned at epoch 0.
+    pub fn new(
+        profile: EpochProfile,
+        layout: Layout,
+        n_total: usize,
+        p: usize,
+        rank: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            profile,
+            layout,
+            n_total,
+            p,
+            rank,
+            seed,
+            epoch: 0,
+            prev: None,
+        }
+    }
+}
+
+impl Iterator for EpochStream {
+    type Item = Vec<u64>;
+
+    fn next(&mut self) -> Option<Vec<u64>> {
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let batch = match (self.profile, self.prev.take()) {
+            (
+                EpochProfile::Churn {
+                    dist,
+                    keep_permille,
+                },
+                Some(mut v),
+            ) => {
+                churn_step(&mut v, dist, keep_permille, self.rank, self.seed, epoch);
+                v
+            }
+            (profile, _) => epoch_rank_keys(
+                profile,
+                self.layout,
+                self.n_total,
+                self.p,
+                self.rank,
+                self.seed,
+                epoch,
+            ),
+        };
+        if matches!(self.profile, EpochProfile::Churn { .. }) {
+            self.prev = Some(batch.clone());
+        }
+        Some(batch)
     }
 }
 
@@ -208,5 +309,39 @@ mod tests {
         // Replay determinism: the same epoch is bit-identical.
         let e1b = epoch_rank_keys(pr, Layout::Balanced, 4096, 4, 1, 11, 1);
         assert_eq!(e1, e1b);
+    }
+
+    #[test]
+    fn stream_matches_the_reference_for_fifty_epochs() {
+        let profiles = [
+            EpochProfile::Churn {
+                dist: Distribution::paper_uniform(),
+                keep_permille: 900,
+            },
+            EpochProfile::Churn {
+                dist: Distribution::Zipf {
+                    items: 1000,
+                    s: 1.2,
+                },
+                keep_permille: 500,
+            },
+            EpochProfile::ShiftingZipf {
+                items: 1000,
+                s: 1.1,
+                shift: 50,
+            },
+            EpochProfile::Stationary {
+                dist: Distribution::paper_uniform(),
+            },
+        ];
+        for pr in profiles {
+            for rank in [0, 3] {
+                let stream = EpochStream::new(pr, Layout::Balanced, 1000, 4, rank, 13);
+                for (epoch, batch) in (0..50).zip(stream) {
+                    let reference = epoch_rank_keys(pr, Layout::Balanced, 1000, 4, rank, 13, epoch);
+                    assert_eq!(batch, reference, "{} rank {rank} epoch {epoch}", pr.label());
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@ pub mod layout;
 pub mod mt;
 
 pub use dist::{f64_to_ordered_u64, ordered_u64_to_f64, Distribution};
-pub use epoch::{epoch_rank_keys, EpochProfile};
+pub use epoch::{epoch_rank_keys, EpochProfile, EpochStream};
 pub use layout::{even_split, offsets, proportional_split, Layout};
 pub use mt::{rank_seed, Mt19937_64, SplitMix64};
 

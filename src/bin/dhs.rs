@@ -376,9 +376,8 @@ fn cmd_serve(args: &Args) {
         let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
         let mut history: Vec<EpochStats> = Vec::with_capacity(epochs as usize);
         let mut all_ok = true;
-        for epoch in 0..epochs {
-            let mut batch =
-                epoch_rank_keys(profile, layout, n_total, ranks, comm.rank(), seed, epoch);
+        let stream = EpochStream::new(profile, layout, n_total, ranks, comm.rank(), seed);
+        for mut batch in stream.take(epochs as usize) {
             let fp = verify.then(|| global_fingerprint(svc.comm(), &batch));
             let stats = svc.sort_epoch(&mut batch);
             if let Some((fp, n)) = fp {

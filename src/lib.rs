@@ -41,5 +41,7 @@ pub mod prelude {
         Comm, PartialRun, RankReport, RunSummary, RunTrace, RunnerEngine, TraceConfig, TracedRun,
     };
     pub use dhs_select::{dmedian, dselect};
-    pub use dhs_workloads::{epoch_rank_keys, rank_local_keys, Distribution, EpochProfile, Layout};
+    pub use dhs_workloads::{
+        epoch_rank_keys, rank_local_keys, Distribution, EpochProfile, EpochStream, Layout,
+    };
 }
