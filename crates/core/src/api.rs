@@ -69,7 +69,7 @@ pub fn sort<K: Key>(comm: &Comm, array: &GlobalArray<K>) -> SortStats {
 /// threads (any pure projection closure qualifies).
 pub fn sort_by_key<T, K, F>(comm: &Comm, local: &mut Vec<T>, key_fn: F) -> SortStats
 where
-    T: Clone + Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     K: Key,
     F: Fn(&T) -> K + Sync,
 {

@@ -165,16 +165,17 @@ pub fn plan_exchange_with<K: Key>(
 /// contiguous [`RecvRuns`] buffer whose per-source runs are sorted
 /// (contiguous slices of sorted arrays). The `MoveBytes` charge models
 /// the packing pass an MPI implementation still performs, keeping the
-/// virtual clock identical to the owning path.
-pub fn exchange_data<K: Key>(
+/// virtual clock identical to the owning path. The payload is any
+/// `Copy` element: plain keys, or the records of a by-key sort.
+pub fn exchange_data<T: Copy + Send + Sync + 'static>(
     comm: &Comm,
-    sorted_local: &[K],
+    sorted_local: &[T],
     plan: &ExchangePlan,
     algo: AllToAllAlgo,
-) -> RecvRuns<K> {
+) -> RecvRuns<T> {
     let p = comm.size();
     assert_eq!(plan.cuts.len(), p + 1);
-    let elem = std::mem::size_of::<K>() as u64;
+    let elem = std::mem::size_of::<T>() as u64;
     comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
     let segments = plan.segments(sorted_local);
     comm.exchange(&segments[..], algo)

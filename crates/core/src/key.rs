@@ -231,6 +231,36 @@ pub fn strip_unique<K: Key>(wrapped: Vec<UniqueKey<K>>) -> Vec<K> {
     wrapped.into_iter().map(|u| u.key).collect()
 }
 
+/// A plain-key splitter stash lifted into the unique key space with
+/// zeroed origin tags (still ascending, still bracketing the same
+/// quantiles). Dropping the guard strips the lifted keys back into the
+/// stash — also when a sort attempt unwinds, so a retry after a crash
+/// past the splitter search still starts from the splitters it accepted.
+pub(crate) struct LiftedStash<'w, K: Key> {
+    pub(crate) lifted: Vec<UniqueKey<K>>,
+    warm: &'w mut Vec<K>,
+}
+
+impl<'w, K: Key> LiftedStash<'w, K> {
+    pub(crate) fn new(warm: &'w mut Vec<K>) -> Self {
+        let lifted = warm
+            .iter()
+            .map(|&key| UniqueKey {
+                key,
+                rank: 0,
+                index: 0,
+            })
+            .collect();
+        LiftedStash { lifted, warm }
+    }
+}
+
+impl<K: Key> Drop for LiftedStash<'_, K> {
+    fn drop(&mut self) {
+        *self.warm = strip_unique(std::mem::take(&mut self.lifted));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,7 @@ use dhs_runtime::{Comm, PoolStats};
 use crate::key::Key;
 #[allow(unused_imports)] // doc links
 use crate::sort::WarmStart;
-use crate::sort::{histogram_sort_by_warm_full, histogram_sort_warm_full, SortConfig, SortStats};
+use crate::sort::{drive, ByKey, Keys, SortConfig, SortStats};
 
 /// Per-epoch service telemetry, derived from the sort's [`SortStats`],
 /// the epoch span, and the communicator's buffer-pool counters.
@@ -153,7 +153,7 @@ impl<'a, K: Key> EpochSorter<'a, K> {
             let c = self.active.as_ref().unwrap_or(self.comm);
             let before = c.pool().stats();
             let sp = c.span("epoch");
-            let (stats, shrunk) = histogram_sort_warm_full(c, batch, &self.cfg, &mut self.warm);
+            let (stats, shrunk) = drive(c, &Keys, batch, &self.cfg, &mut self.warm);
             let makespan_ns = sp.finish();
             (stats, c.pool().stats().since(&before), makespan_ns, shrunk)
         };
@@ -166,15 +166,14 @@ impl<'a, K: Key> EpochSorter<'a, K> {
     /// one service.
     pub fn sort_epoch_by<T, F>(&mut self, batch: &mut Vec<T>, key_fn: F) -> EpochStats
     where
-        T: Clone + Send + Sync + 'static,
+        T: Copy + Send + Sync + 'static,
         F: Fn(&T) -> K + Sync,
     {
         let (stats, pool, makespan_ns, shrunk) = {
             let c = self.active.as_ref().unwrap_or(self.comm);
             let before = c.pool().stats();
             let sp = c.span("epoch");
-            let (stats, shrunk) =
-                histogram_sort_by_warm_full(c, batch, &key_fn, &self.cfg, &mut self.warm);
+            let (stats, shrunk) = drive(c, &ByKey(key_fn), batch, &self.cfg, &mut self.warm);
             let makespan_ns = sp.finish();
             (stats, c.pool().stats().since(&before), makespan_ns, shrunk)
         };

@@ -2,13 +2,14 @@
 //! determination → all-to-allv data exchange → local merge.
 
 use dhs_merge::{kway_merge, MergeAlgo};
-use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, Work};
+use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, SpanGuard, Work};
 use dhs_shm::{KernelPolicy, Kernels};
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::exchange::{exchange_data, plan_exchange_with};
-use crate::key::{make_unique, strip_unique, Key};
+use crate::exchange::{exchange_data, plan_exchange_with, ExchangePlan};
+use crate::key::{make_unique, strip_unique, Key, LiftedStash};
 use crate::splitter::{
     balanced_targets, find_splitters_seeded, perfect_targets, slack_for, SplitterOptions,
     SplitterResult,
@@ -131,6 +132,11 @@ pub enum WarmStart {
 }
 
 /// Configuration of one sort invocation.
+///
+/// `local_sort`, `merge`, `exchange` and `unique_transform` apply to key
+/// sorts only. A record sort ([`histogram_sort_by`]) always runs a
+/// stable comparison sort, the `ALL-TO-ALLV` exchange and a stable
+/// re-sort merge, whatever those fields say.
 #[derive(Debug, Clone)]
 pub struct SortConfig {
     /// Load-balance threshold `ε ≥ 0`; `0` demands exact boundaries.
@@ -138,17 +144,20 @@ pub struct SortConfig {
     /// Boundary placement policy.
     pub partitioning: Partitioning,
     /// Engine for the local merge of received runs (used by
-    /// [`ExchangeStrategy::AllToAllv`]).
+    /// [`ExchangeStrategy::AllToAllv`]). Key sorts only.
     pub merge: MergeAlgo,
-    /// Data-exchange schedule.
+    /// Data-exchange schedule. Key sorts only: a record sort given
+    /// [`ExchangeStrategy::PairwiseMerge`] still runs `ALL-TO-ALLV`.
     pub exchange: ExchangeStrategy,
-    /// Node-local sorting engine.
+    /// Node-local sorting engine. Key sorts only.
     pub local_sort: LocalSort,
     /// Apply the §V-A uniqueness transform `(key, rank, index)` during
     /// splitter determination and exchange. Not required for
     /// correctness here (the Algorithm 4 refinement already splits
     /// equal-key runs exactly), but kept for fidelity and ablation: it
-    /// trades 8 bytes/key of metadata for distinct keys.
+    /// trades 8 bytes/key of metadata for distinct keys. Each attempt
+    /// tags with its own rank, so tags stay unique across shrinks. Key
+    /// sorts only.
     pub unique_transform: bool,
     /// Hard cap on splitter-refinement iterations. When the cap stops
     /// the search early, the sort falls back to the best partition
@@ -477,8 +486,7 @@ impl SortStats {
 /// `local` is sorted, globally ordered by rank, and sized according to
 /// the partitioning policy.
 pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig) -> SortStats {
-    let mut warm: Vec<K> = Vec::new();
-    histogram_sort_warm_full(comm, local, cfg, &mut warm).0
+    drive(comm, &Keys, local, cfg, &mut Vec::new()).0
 }
 
 /// [`histogram_sort`] with a caller-owned splitter stash: the sorted
@@ -499,18 +507,291 @@ pub fn histogram_sort_warm<K: Key>(
     cfg: &SortConfig,
     warm: &mut Vec<K>,
 ) -> SortStats {
-    histogram_sort_warm_full(comm, local, cfg, warm).0
+    drive(comm, &Keys, local, cfg, warm).0
 }
 
-/// [`histogram_sort_warm`], also returning the shrunk communicator
-/// when [`RecoveryPolicy::Shrink`] recovered past failed ranks (the
-/// epoch service keeps sorting on the survivor communicator).
-pub(crate) fn histogram_sort_warm_full<K: Key>(
+/// Sort a distributed vector of arbitrary records by an extracted
+/// [`Key`] — the `std::sort`-with-projection form scientific codes use
+/// (e.g. particles keyed by Morton code, matrix nonzeros keyed by
+/// row). Collective. The local merge is always a (stable) re-sort of
+/// the received records (the paper's evaluated configuration); with an
+/// intra-rank thread budget both local phases dispatch to the *stable*
+/// `dhs-shm` kernels, whose output is element-for-element identical to
+/// the serial stable sort for every `threads_per_rank`.
+///
+/// Records are `Copy`: the exchange sends borrowed segments of the
+/// sorted block, so no user `Clone` code ever runs inside the sort.
+/// `key_fn` must be `Sync` so the hybrid path may evaluate it from
+/// worker threads; key extraction is pure, so any ordinary projection
+/// closure qualifies.
+pub fn histogram_sort_by<T, K, F>(
     comm: &Comm,
-    local: &mut Vec<K>,
+    local: &mut Vec<T>,
+    key_fn: F,
+    cfg: &SortConfig,
+) -> SortStats
+where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    drive(comm, &ByKey(key_fn), local, cfg, &mut Vec::new()).0
+}
+
+/// [`histogram_sort_by`] with a caller-owned splitter stash over the
+/// extracted key space — the record-stream analogue of
+/// [`histogram_sort_warm`]. Seeding and write-back follow
+/// [`SortConfig::warm_start`] exactly as for plain keys.
+pub fn histogram_sort_by_warm<T, K, F>(
+    comm: &Comm,
+    local: &mut Vec<T>,
+    key_fn: F,
     cfg: &SortConfig,
     warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>) {
+) -> SortStats
+where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    drive(comm, &ByKey(key_fn), local, cfg, warm).0
+}
+
+/// What differs between sorting plain keys ([`Keys`]) and sorting
+/// records `T` by an extracted key `K` ([`ByKey`]). Everything else —
+/// spans, splitter options, outcome, the exchange call, the recovery
+/// loop — is the one [`drive`]r and its one [`attempt`].
+pub(crate) trait SortKind<T: Copy + Send + Sync + 'static, K: Key> {
+    /// Phase 1: sort the local block and charge its modelled cost.
+    fn local_sort(&self, comm: &Comm, data: &mut [T], cfg: &SortConfig);
+
+    /// The keys the splitter search and the exchange plan read,
+    /// built (and charged) inside the attempt's `prepare` span.
+    fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [K]>;
+
+    /// Phase 4: merge the received sorted runs into the new local
+    /// block. `retired` is the pre-exchange block, free as scratch.
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<T>,
+        retired: Vec<T>,
+        cfg: &SortConfig,
+    ) -> Vec<T>;
+
+    /// Phases 3b and 4 fused into pairwise rounds with eager merging,
+    /// when the configuration asks for them; `None` runs the
+    /// ALL-TO-ALLV and [`SortKind::merge`].
+    fn fused_exchange(
+        &self,
+        _comm: &Comm,
+        _data: &[T],
+        _plan: &ExchangePlan,
+        _cfg: &SortConfig,
+    ) -> Option<Vec<T>> {
+        None
+    }
+
+    /// Phases 2–4 of an attempt whose global shape is known. Plain keys
+    /// override this to apply the uniqueness transform first.
+    fn enter(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<T>,
+        shape: Shape<'_>,
+        cfg: &SortConfig,
+        stats: &mut SortStats,
+        warm: &mut Vec<K>,
+    ) where
+        Self: Sized,
+    {
+        phases(comm, self, data, shape, cfg, stats, warm);
+    }
+}
+
+/// Plain keys: the sorted block is its own key view.
+pub(crate) struct Keys;
+
+impl<K: Key> SortKind<K, K> for Keys {
+    fn local_sort(&self, comm: &Comm, data: &mut [K], cfg: &SortConfig) {
+        local_sort_exec(comm, data, cfg.local_sort, Kernels::for_policy(cfg.kernels));
+    }
+
+    fn key_view<'a>(&self, _comm: &Comm, data: &'a [K]) -> Cow<'a, [K]> {
+        Cow::Borrowed(data)
+    }
+
+    /// Local merge of the received sorted runs, consumed in place from
+    /// the contiguous receive buffer. With an intra-rank thread budget
+    /// the merge dispatches to the chunked parallel k-way kernel over
+    /// the borrowed runs; charges always follow the *configured*
+    /// engine, so the virtual clock is identical for every budget.
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<K>,
+        retired: Vec<K>,
+        cfg: &SortConfig,
+    ) -> Vec<K> {
+        let n_recv = received.total_len() as u64;
+        let te = comm.threads().exec_budget();
+        if cfg.merge == MergeAlgo::Resort {
+            // The received runs are already sorted, so merge them with
+            // the flat pairwise tree instead of re-sorting the flat
+            // buffer — an algorithmic win at every thread budget. The
+            // merge ping-pongs between the receive buffer and the
+            // retired local array, so it allocates nothing n-sized.
+            // Output is the same sorted key sequence; the charge is the
+            // modelled re-sort, as configured.
+            charge_local_sort::<K>(comm, n_recv, cfg.local_sort);
+            let (data, counts) = received.into_parts();
+            let kernels = Kernels::for_policy(cfg.kernels);
+            return dhs_shm::flat_tree_merge_packed(kernels, data, &counts, retired, te);
+        }
+        let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
+        comm.charge(Work::MergeElems {
+            n: n_recv,
+            ways: ways.max(2),
+            elem_bytes: std::mem::size_of::<K>() as u64,
+        });
+        if comm.threads().budget() > 1 {
+            dhs_shm::parallel_kway_chunked(&received.as_slices(), te, cfg.merge)
+        } else {
+            kway_merge(cfg.merge, &received.as_slices())
+        }
+    }
+
+    fn fused_exchange(
+        &self,
+        comm: &Comm,
+        data: &[K],
+        plan: &ExchangePlan,
+        cfg: &SortConfig,
+    ) -> Option<Vec<K>> {
+        let ExchangeStrategy::PairwiseMerge { overlap } = cfg.exchange else {
+            return None;
+        };
+        Some(crate::overlap::exchange_and_merge(comm, data, plan, overlap).0)
+    }
+
+    fn enter(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<K>,
+        shape: Shape<'_>,
+        cfg: &SortConfig,
+        stats: &mut SortStats,
+        warm: &mut Vec<K>,
+    ) {
+        if !cfg.unique_transform {
+            return phases(comm, self, data, shape, cfg, stats, warm);
+        }
+        // The transform ships (rank, index) alongside each key. The tags
+        // use this attempt's rank, unique within its communicator.
+        let mut tagged = make_unique(data, comm.rank());
+        comm.charge(Work::MoveBytes(data.len() as u64 * 8));
+        // The stash stores plain keys; the guard lifts them into the
+        // unique key space and strips them back however the attempt ends.
+        let mut stash = LiftedStash::new(warm);
+        let lifted = &mut stash.lifted;
+        phases(comm, self, &mut tagged, shape, cfg, stats, lifted);
+        drop(stash);
+        *data = strip_unique(tagged);
+    }
+}
+
+/// Records sorted by an extracted key. Whatever `local_sort`, `merge`,
+/// `exchange` and `unique_transform` say, a record sort runs a stable
+/// comparison sort, the ALL-TO-ALLV exchange and a stable re-sort
+/// merge. No uniqueness transform is needed: records are positionally
+/// unique via the Algorithm 4 refinement, so only the key view is.
+pub(crate) struct ByKey<F>(pub(crate) F);
+
+impl<T, K, F> SortKind<T, K> for ByKey<F>
+where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    /// Stable, like `slice::sort_by_key`; the hybrid kernel reproduces
+    /// the stable order exactly.
+    fn local_sort(&self, comm: &Comm, data: &mut [T], _cfg: &SortConfig) {
+        let key_fn = &self.0;
+        if comm.threads().budget() > 1 {
+            let te = comm.threads().exec_budget();
+            dhs_shm::parallel_merge_sort_by(data, te, &|a: &T, b: &T| key_fn(a).cmp(&key_fn(b)));
+        } else {
+            data.sort_by_key(key_fn);
+        }
+        comm.charge(Work::SortElems {
+            n: data.len() as u64,
+            elem_bytes: std::mem::size_of::<T>() as u64,
+        });
+    }
+
+    fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [K]> {
+        let keys: Vec<K> = data.iter().map(&self.0).collect();
+        comm.charge(Work::MoveBytes(
+            keys.len() as u64 * std::mem::size_of::<K>() as u64,
+        ));
+        Cow::Owned(keys)
+    }
+
+    /// Every received run is a slice of a sorted array, so the hybrid
+    /// path merges the runs stably instead of re-sorting — identical to
+    /// the serial stable re-sort of the concatenation, charged
+    /// identically.
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<T>,
+        retired: Vec<T>,
+        _cfg: &SortConfig,
+    ) -> Vec<T> {
+        drop(retired); // not reused: free it before the re-sort's scratch
+        let key_fn = &self.0;
+        comm.charge(Work::SortElems {
+            n: received.total_len() as u64,
+            elem_bytes: std::mem::size_of::<T>() as u64,
+        });
+        if comm.threads().budget() > 1 {
+            let te = comm.threads().exec_budget();
+            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
+                key_fn(a).cmp(&key_fn(b))
+            })
+        } else {
+            let mut data = received.into_data();
+            data.sort_by_key(key_fn);
+            data
+        }
+    }
+}
+
+/// The one sort driver behind every histogram-sort entry point and the
+/// epoch service: validate, configure threads, run the local sort once,
+/// then the distributed [`attempt`].
+///
+/// Under [`RecoveryPolicy::Abort`] that is literally one attempt on
+/// `comm`: no checkpoint, no unwind catching. Under
+/// [`RecoveryPolicy::Shrink`] the sorted block is checkpointed and the
+/// attempt runs under `catch_unwind`; a [`RecoveryInterrupt`] unwind
+/// means a peer died, so the survivors shrink onto the agreed survivor
+/// communicator, roll back to the checkpoint, and retry — warm-starting
+/// the splitter search from the accepted splitters of the interrupted
+/// attempt, so stationary data converges in near-zero extra rounds.
+/// Returns the survivor communicator when one or more shrinks happened.
+pub(crate) fn drive<T, K, S>(
+    comm: &Comm,
+    kind: &S,
+    local: &mut Vec<T>,
+    cfg: &SortConfig,
+    warm: &mut Vec<K>,
+) -> (SortStats, Option<Comm>)
+where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    S: SortKind<T, K>,
+{
     if let Err(e) = cfg.validate() {
         panic!("invalid SortConfig: {e}");
     }
@@ -518,120 +799,8 @@ pub(crate) fn histogram_sort_warm_full<K: Key>(
     if cfg.warm_start == WarmStart::Cold {
         warm.clear();
     }
-    if cfg.recovery == RecoveryPolicy::Shrink {
-        return histogram_sort_shrink(comm, local, cfg, warm);
-    }
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-
-    // Phase 1: local sort.
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    local_sort_exec(
-        comm,
-        local,
-        cfg.local_sort,
-        Kernels::for_policy(cfg.kernels),
-    );
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    // Global shape ("Other" in the paper's breakdown: everything that
-    // is neither histogramming nor the exchange proper).
-    let sp = comm.span("prepare");
-    let caps: Vec<usize> = comm.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
-    let p = comm.size();
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
-        return (stats, None);
-    }
-
-    if cfg.unique_transform {
-        let wrapped = make_unique(local, comm.rank());
-        // The transform ships (rank, index) alongside each key.
-        comm.charge(Work::MoveBytes(local.len() as u64 * 8));
-        stats.prepare_ns += sp.finish();
-        let mut sorted = wrapped;
-        // The stash stores plain keys; lift them into the unique key
-        // space with zeroed origin tags (still ascending, still
-        // bracketing the same quantiles) and strip them back after.
-        let mut warm_u = lift_warm(warm);
-        run_pipeline_warm(
-            comm,
-            &mut sorted,
-            &targets,
-            slack,
-            n_total,
-            cfg,
-            &mut stats,
-            Some(&mut warm_u),
-        );
-        *warm = strip_unique(warm_u);
-        *local = strip_unique(sorted);
-    } else {
-        stats.prepare_ns += sp.finish();
-        run_pipeline_warm(
-            comm,
-            local,
-            &targets,
-            slack,
-            n_total,
-            cfg,
-            &mut stats,
-            Some(warm),
-        );
-    }
-    stats.n_out = local.len();
-    debug_assert_eq!(
-        stats.total_ns(),
-        comm.now_ns() - t_begin,
-        "span-derived phase totals must cover the sort's virtual time"
-    );
-    (stats, None)
-}
-
-/// Lift a plain-key splitter stash into the [`UniqueKey`] space with
-/// zeroed origin tags (order-preserving, so the ladder stays an
-/// ascending quantile bracket source).
-fn lift_warm<K: Key>(warm: &[K]) -> Vec<crate::key::UniqueKey<K>> {
-    warm.iter()
-        .map(|&key| crate::key::UniqueKey {
-            key,
-            rank: 0,
-            index: 0,
-        })
-        .collect()
-}
-
-/// The [`RecoveryPolicy::Shrink`] driver for [`histogram_sort`].
-///
-/// Structure: arm the recovery interrupt, run the local sort and
-/// (optional) uniqueness transform exactly once, checkpoint the sorted
-/// block, then attempt the distributed pipeline under `catch_unwind`.
-/// A [`RecoveryInterrupt`] unwind means a peer died: shrink onto the
-/// agreed survivor communicator, roll back to the checkpoint, and
-/// retry — warm-starting the splitter search from the accepted
-/// splitters of the interrupted attempt, so stationary data converges
-/// in near-zero extra rounds.
-fn histogram_sort_shrink<K: Key>(
-    comm: &Comm,
-    local: &mut Vec<K>,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>) {
-    let _guard = comm.arm_recovery();
+    let shrink = cfg.recovery == RecoveryPolicy::Shrink;
+    let _guard = shrink.then(|| comm.arm_recovery());
     let t_begin = comm.now_ns();
     let mut stats = SortStats {
         n_in: local.len(),
@@ -642,137 +811,183 @@ fn histogram_sort_shrink<K: Key>(
     // the rollback checkpoint, so no attempt ever re-sorts.
     let sp = comm.span("local_sort");
     let intra = comm.intra_span("local_sort");
-    local_sort_exec(
-        comm,
-        local,
-        cfg.local_sort,
-        Kernels::for_policy(cfg.kernels),
-    );
+    kind.local_sort(comm, local, cfg);
     drop(intra);
     stats.local_sort_ns = sp.finish();
 
-    let active;
-    if cfg.unique_transform {
-        // Applied once: the (rank, index) tags use the *original*
-        // global rank, which stays globally unique across shrinks.
-        let sp = comm.span("prepare");
-        let wrapped = make_unique(local, comm.rank());
-        comm.charge(Work::MoveBytes(local.len() as u64 * 8));
-        stats.prepare_ns += sp.finish();
-        let mut sorted = wrapped;
-        let mut warm_u = lift_warm(warm);
-        active = shrink_attempt_loop(comm, &mut sorted, cfg, &mut stats, t_begin, &mut warm_u);
-        *warm = strip_unique(warm_u);
-        *local = strip_unique(sorted);
+    let mut active: Option<Comm> = None; // survivor comm after a shrink
+    if !shrink {
+        attempt(comm, kind, local, cfg, &mut stats, warm);
     } else {
-        active = shrink_attempt_loop(comm, local, cfg, &mut stats, t_begin, warm);
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let elem = std::mem::size_of::<T>() as u64;
+
+        // Rollback checkpoint: one retained copy of the post-local-sort
+        // block, charged as a streaming copy.
+        let sp = comm.span("prepare");
+        let checkpoint: Vec<T> = local.clone();
+        comm.charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
+        stats.prepare_ns += sp.finish();
+
+        let mut lost: Vec<usize> = Vec::new();
+        let mut restarts: u32 = 0;
+        let mut recovery_ns: u64 = 0;
+        loop {
+            let c = active.as_ref().unwrap_or(comm);
+            let attempt_begin = c.now_ns();
+            let snapshot = stats.clone();
+            match catch_unwind(AssertUnwindSafe(|| {
+                attempt(c, kind, local, cfg, &mut stats, warm)
+            })) {
+                Ok(()) => break,
+                Err(payload) if payload.is::<RecoveryInterrupt>() => {
+                    // A peer died mid-attempt. Agree on the survivor set
+                    // (epoch = restart count: every survivor passes the
+                    // same value, keeping the rendezvous deterministic),
+                    // then roll back and go again on the shrunk comm.
+                    let shr = c.shrink(u64::from(restarts));
+                    restarts += 1;
+                    lost.extend(shr.lost.iter().copied());
+                    stats = snapshot; // discard the failed attempt's phases
+                    *local = checkpoint.clone();
+                    shr.comm
+                        .charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
+                    recovery_ns += shr.comm.now_ns() - attempt_begin;
+                    active = Some(shr.comm);
+                }
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        if restarts > 0 {
+            // Recovery supersedes a Degraded verdict from the final
+            // attempt; the realized ε is still observable via the stats'
+            // n_out spread.
+            stats.outcome = SortOutcome::Recovered {
+                lost_ranks: lost,
+                restarts,
+                recovery_ns,
+            };
+        }
     }
     stats.n_out = local.len();
+    debug_assert_eq!(
+        stats.total_ns(),
+        active.as_ref().unwrap_or(comm).now_ns() - t_begin,
+        "phase totals plus recovery overhead must cover the sort's virtual time"
+    );
     (stats, active)
 }
 
-/// Checkpoint `sorted`, then run the distributed pipeline until an
-/// attempt completes, shrinking past failed peers between attempts.
-/// Returns the survivor communicator when one or more shrinks
-/// happened (`None` for a clean first attempt). `warm` seeds the
-/// first attempt's splitter search per [`SortConfig::warm_start`] and
-/// carries accepted splitters across both restarts and calls.
-fn shrink_attempt_loop<K: Key>(
-    comm: &Comm,
-    sorted: &mut Vec<K>,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    t_begin: u64,
-    warm: &mut Vec<K>,
-) -> Option<Comm> {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let elem = std::mem::size_of::<K>() as u64;
-
-    // Rollback checkpoint: one retained copy of the post-local-sort
-    // block, charged as a streaming copy.
-    let sp = comm.span("prepare");
-    let checkpoint: Vec<K> = sorted.clone();
-    comm.charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-    stats.prepare_ns += sp.finish();
-
-    let mut active: Option<Comm> = None; // survivor comm after a shrink
-    let mut lost: Vec<usize> = Vec::new();
-    let mut restarts: u32 = 0;
-    let mut recovery_ns: u64 = 0;
-
-    loop {
-        let attempt_begin = active.as_ref().unwrap_or(comm).now_ns();
-        let snapshot = stats.clone();
-        let result = {
-            let c = active.as_ref().unwrap_or(comm);
-            catch_unwind(AssertUnwindSafe(|| {
-                shrink_attempt(c, sorted, cfg, stats, warm)
-            }))
-        };
-        match result {
-            Ok(()) => break,
-            Err(payload) if payload.is::<RecoveryInterrupt>() => {
-                // A peer died mid-attempt. Agree on the survivor set
-                // (epoch = restart count: every survivor passes the
-                // same value, keeping the rendezvous deterministic),
-                // then roll back and go again on the shrunk comm.
-                let shr = active.as_ref().unwrap_or(comm).shrink(u64::from(restarts));
-                restarts += 1;
-                lost.extend(shr.lost.iter().copied());
-                *stats = snapshot; // discard the failed attempt's phases
-                *sorted = checkpoint.clone();
-                shr.comm
-                    .charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-                recovery_ns += shr.comm.now_ns() - attempt_begin;
-                active = Some(shr.comm);
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    if restarts > 0 {
-        // Recovery supersedes a Degraded verdict from the final
-        // attempt; the realized ε is still observable via the stats'
-        // n_out spread.
-        stats.outcome = SortOutcome::Recovered {
-            lost_ranks: lost,
-            restarts,
-            recovery_ns,
-        };
-    }
-    let now = active.as_ref().unwrap_or(comm).now_ns();
-    debug_assert_eq!(
-        stats.total_ns(),
-        now - t_begin,
-        "phase totals plus recovery overhead must cover the sort's virtual time"
-    );
-    active
+/// An attempt's global shape, computed under its still-open `prepare`
+/// span, which [`phases`] closes once the key view is built.
+pub(crate) struct Shape<'c> {
+    targets: Vec<u64>,
+    slack: u64,
+    n_total: u64,
+    prepare: SpanGuard<'c>,
 }
 
-/// One full pipeline attempt (global shape + phases 2–4) on the
-/// current communicator. Unwinds with [`RecoveryInterrupt`] if a peer
-/// dies before the exchange commits.
-fn shrink_attempt<K: Key>(
-    c: &Comm,
-    sorted: &mut Vec<K>,
+/// One full pipeline attempt (global shape + phases 2–4) on `comm`.
+/// Under [`RecoveryPolicy::Shrink`] it unwinds with
+/// [`RecoveryInterrupt`] if a peer dies before the exchange commits.
+fn attempt<T, K, S>(
+    comm: &Comm,
+    kind: &S,
+    data: &mut Vec<T>,
     cfg: &SortConfig,
     stats: &mut SortStats,
     warm: &mut Vec<K>,
-) {
-    let sp = c.span("prepare");
-    let caps: Vec<usize> = c.allgather(sorted.len());
-    let n_total: u64 = caps.iter().map(|&x| x as u64).sum();
-    let p = c.size();
+) where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    S: SortKind<T, K>,
+{
+    // Global shape ("Other" in the paper's breakdown: everything that
+    // is neither histogramming nor the exchange proper).
+    let sp = comm.span("prepare");
+    let caps: Vec<usize> = comm.allgather(data.len());
+    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+    let p = comm.size();
     let targets = match cfg.partitioning {
         Partitioning::Perfect => perfect_targets(&caps),
         Partitioning::Balanced => balanced_targets(n_total, p),
     };
     let slack = slack_for(n_total, p, cfg.epsilon);
-    stats.prepare_ns += sp.finish();
     if n_total == 0 || p == 1 {
+        stats.prepare_ns += sp.finish();
         return;
     }
-    run_pipeline_warm(c, sorted, &targets, slack, n_total, cfg, stats, Some(warm));
+    let shape = Shape {
+        targets,
+        slack,
+        n_total,
+        prepare: sp,
+    };
+    kind.enter(comm, data, shape, cfg, stats, warm);
+}
+
+/// Phases 2–4 of one attempt on its shaped, locally sorted block.
+fn phases<T, K, S>(
+    comm: &Comm,
+    kind: &S,
+    data: &mut Vec<T>,
+    shape: Shape<'_>,
+    cfg: &SortConfig,
+    stats: &mut SortStats,
+    warm: &mut Vec<K>,
+) where
+    T: Copy + Send + Sync + 'static,
+    K: Key,
+    S: SortKind<T, K>,
+{
+    let view = kind.key_view(comm, data);
+    stats.prepare_ns += shape.prepare.finish();
+
+    // Phase 2: splitter determination by iterative histogramming over
+    // the key view, seeded from the stash (empty = cold). The accepted
+    // keys are written back as soon as the search returns, so a crash
+    // later in the attempt (during the exchange) still warm-starts the
+    // retry.
+    let sp = comm.span("histogram");
+    let kernels = Kernels::for_policy(cfg.kernels);
+    let opts = SplitterOptions {
+        max_iterations: cfg.max_splitter_iterations,
+        probes_per_round: cfg.probes_per_round,
+        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
+        kernels,
+        ..SplitterOptions::default()
+    };
+    let splitters = find_splitters_seeded(comm, &view, &shape.targets, shape.slack, opts, warm);
+    *warm = splitters.splitters.iter().map(|s| s.key).collect();
+    stats.iterations = splitters.iterations;
+    stats.probes = splitters.probes;
+    stats.outcome = outcome_of(&splitters, shape.n_total, comm.size());
+    stats.histogram_ns = sp.finish();
+
+    // Phase 3a: exchange preparation (Algorithm 4) on the key view.
+    let sp = comm.span("prepare");
+    let plan = plan_exchange_with(comm, &view, &splitters, kernels);
+    stats.prepare_ns += sp.finish();
+    drop(view);
+
+    // Phase 3b: the exchange of the planned segments, sent in place.
+    let sp = comm.span("exchange");
+    if let Some(merged) = kind.fused_exchange(comm, data, &plan, cfg) {
+        *data = merged;
+        stats.exchange_ns = sp.finish();
+        return;
+    }
+    let received = exchange_data(comm, data, &plan, cfg.exchange_algo);
+    stats.exchange_ns = sp.finish();
+
+    // Phase 4: local merge of the received sorted runs. Past the
+    // exchange the attempt has committed and can no longer be
+    // interrupted.
+    let sp = comm.span("merge");
+    let intra = comm.intra_span("merge");
+    *data = kind.merge(comm, received, std::mem::take(data), cfg);
+    drop(intra);
+    stats.merge_ns = sp.finish();
 }
 
 /// Classify the splitter result: exact within ε, or — when the
@@ -791,486 +1006,6 @@ fn outcome_of<K>(res: &SplitterResult<K>, n_total: u64, p: usize) -> SortOutcome
     SortOutcome::Degraded {
         achieved_epsilon: 2.0 * p as f64 * max_dev as f64 / n_total.max(1) as f64,
         iterations: res.iterations,
-    }
-}
-
-/// Sort a distributed vector of arbitrary records by an extracted
-/// [`Key`] — the `std::sort`-with-projection form scientific codes use
-/// (e.g. particles keyed by Morton code, matrix nonzeros keyed by
-/// row). Collective. The local merge is always a (stable) re-sort of
-/// the received records (the paper's evaluated configuration); with an
-/// intra-rank thread budget both local phases dispatch to the *stable*
-/// `dhs-shm` kernels, whose output is element-for-element identical to
-/// the serial stable sort for every `threads_per_rank`.
-///
-/// `key_fn` must be `Sync` so the hybrid path may evaluate it from
-/// worker threads; key extraction is pure, so any ordinary projection
-/// closure qualifies.
-pub fn histogram_sort_by<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: F,
-    cfg: &SortConfig,
-) -> SortStats
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    let mut warm: Vec<K> = Vec::new();
-    histogram_sort_by_warm_full(comm, local, &key_fn, cfg, &mut warm).0
-}
-
-/// [`histogram_sort_by`] with a caller-owned splitter stash over the
-/// extracted key space — the record-stream analogue of
-/// [`histogram_sort_warm`]. Seeding and write-back follow
-/// [`SortConfig::warm_start`] exactly as for plain keys.
-pub fn histogram_sort_by_warm<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> SortStats
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    histogram_sort_by_warm_full(comm, local, &key_fn, cfg, warm).0
-}
-
-/// [`histogram_sort_by_warm`], also returning the shrunk communicator
-/// after a [`RecoveryPolicy::Shrink`] recovery.
-pub(crate) fn histogram_sort_by_warm_full<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>)
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    if let Err(e) = cfg.validate() {
-        panic!("invalid SortConfig: {e}");
-    }
-    comm.threads().configure(cfg.threads_per_rank);
-    if cfg.warm_start == WarmStart::Cold {
-        warm.clear();
-    }
-    if cfg.recovery == RecoveryPolicy::Shrink {
-        return histogram_sort_by_shrink(comm, local, key_fn, cfg, warm);
-    }
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-    let elem = std::mem::size_of::<T>() as u64;
-
-    // Phase 1: local sort by key (stable, like `slice::sort_by_key`;
-    // the hybrid kernel reproduces the stable order exactly).
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    let t = comm.threads().budget();
-    if t > 1 {
-        let te = comm.threads().exec_budget();
-        dhs_shm::parallel_merge_sort_by(local, te, &|a: &T, b: &T| key_fn(a).cmp(&key_fn(b)));
-    } else {
-        local.sort_by_key(|x| key_fn(x));
-    }
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    let sp = comm.span("prepare");
-    let caps: Vec<usize> = comm.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
-    let p = comm.size();
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
-        return (stats, None);
-    }
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-
-    // Extract the key view. The uniqueness transform falls out
-    // naturally: records are positionally unique via the Algorithm 4
-    // refinement, so only the key view is needed.
-    let keys: Vec<K> = local.iter().map(&key_fn).collect();
-    comm.charge(Work::MoveBytes(
-        keys.len() as u64 * std::mem::size_of::<K>() as u64,
-    ));
-    stats.prepare_ns += sp.finish();
-
-    // Phase 2: splitters over the key view, warm-started from the
-    // caller's stash (empty = cold) and written back on acceptance.
-    let sp = comm.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let splitters = find_splitters_seeded(comm, &keys, &targets, slack, opts, warm);
-    *warm = splitters.splitters.iter().map(|s| s.key).collect();
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, p);
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3: plan on the key view, exchange the records.
-    let sp = comm.span("prepare");
-    let plan = plan_exchange_with(comm, &keys, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    let sp = comm.span("exchange");
-    comm.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let buckets: Vec<Vec<T>> = plan
-        .segments(local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    let received = comm.exchange(buckets, cfg.exchange_algo);
-    stats.exchange_ns = sp.finish();
-
-    // Phase 4: re-sort the received records by key. Every received
-    // run is a slice of a sorted array, so the hybrid path merges
-    // the runs stably instead — identical to the serial stable
-    // re-sort of the concatenation, charged identically.
-    let sp = comm.span("merge");
-    let intra = comm.intra_span("merge");
-    let n_recv: u64 = received.total_len() as u64;
-    comm.charge(Work::SortElems {
-        n: n_recv,
-        elem_bytes: elem,
-    });
-    if t > 1 {
-        let te = comm.threads().exec_budget();
-        *local =
-            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
-                key_fn(a).cmp(&key_fn(b))
-            });
-    } else {
-        *local = received.into_data();
-        local.sort_by_key(|x| key_fn(x));
-    }
-    drop(intra);
-    stats.merge_ns = sp.finish();
-    stats.n_out = local.len();
-    debug_assert_eq!(
-        stats.total_ns(),
-        comm.now_ns() - t_begin,
-        "span-derived phase totals must cover the sort's virtual time"
-    );
-    (stats, None)
-}
-
-/// The [`RecoveryPolicy::Shrink`] driver for [`histogram_sort_by`]:
-/// same checkpoint/shrink/retry structure as
-/// [`histogram_sort_shrink`], with the record vector as the
-/// checkpoint and the key view re-extracted (and re-charged) on every
-/// attempt, exactly as the abort path charges it once.
-fn histogram_sort_by_shrink<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>)
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let _guard = comm.arm_recovery();
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-    let elem = std::mem::size_of::<T>() as u64;
-
-    // Phase 1: stable local sort by key, once.
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    if comm.threads().budget() > 1 {
-        let te = comm.threads().exec_budget();
-        dhs_shm::parallel_merge_sort_by(local, te, &|a: &T, b: &T| key_fn(a).cmp(&key_fn(b)));
-    } else {
-        local.sort_by_key(|x| key_fn(x));
-    }
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    // Rollback checkpoint of the sorted records.
-    let sp = comm.span("prepare");
-    let checkpoint: Vec<T> = local.clone();
-    comm.charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-    stats.prepare_ns += sp.finish();
-
-    let mut active: Option<Comm> = None;
-    let mut lost: Vec<usize> = Vec::new();
-    let mut restarts: u32 = 0;
-    let mut recovery_ns: u64 = 0;
-
-    loop {
-        let attempt_begin = active.as_ref().unwrap_or(comm).now_ns();
-        let snapshot = stats.clone();
-        let result = {
-            let c = active.as_ref().unwrap_or(comm);
-            catch_unwind(AssertUnwindSafe(|| {
-                by_shrink_attempt(c, local, key_fn, cfg, &mut stats, &mut *warm)
-            }))
-        };
-        match result {
-            Ok(()) => break,
-            Err(payload) if payload.is::<RecoveryInterrupt>() => {
-                let shr = active.as_ref().unwrap_or(comm).shrink(u64::from(restarts));
-                restarts += 1;
-                lost.extend(shr.lost.iter().copied());
-                stats = snapshot;
-                *local = checkpoint.clone();
-                shr.comm
-                    .charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-                recovery_ns += shr.comm.now_ns() - attempt_begin;
-                active = Some(shr.comm);
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    if restarts > 0 {
-        stats.outcome = SortOutcome::Recovered {
-            lost_ranks: lost,
-            restarts,
-            recovery_ns,
-        };
-    }
-    stats.n_out = local.len();
-    let now = active.as_ref().unwrap_or(comm).now_ns();
-    debug_assert_eq!(
-        stats.total_ns(),
-        now - t_begin,
-        "phase totals plus recovery overhead must cover the sort's virtual time"
-    );
-    (stats, active)
-}
-
-/// One full record-pipeline attempt (key view + phases 2–4) on the
-/// current communicator.
-fn by_shrink_attempt<T, K, F>(
-    c: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    warm: &mut Vec<K>,
-) where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    let elem = std::mem::size_of::<T>() as u64;
-
-    let sp = c.span("prepare");
-    let caps: Vec<usize> = c.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&x| x as u64).sum();
-    let p = c.size();
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        return;
-    }
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-    let keys: Vec<K> = local.iter().map(key_fn).collect();
-    c.charge(Work::MoveBytes(
-        keys.len() as u64 * std::mem::size_of::<K>() as u64,
-    ));
-    stats.prepare_ns += sp.finish();
-
-    // Phase 2: splitters over the key view, warm-started.
-    let sp = c.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let splitters = find_splitters_seeded(c, &keys, &targets, slack, opts, warm);
-    *warm = splitters.splitters.iter().map(|s| s.key).collect();
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, p);
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3: plan on the key view, exchange the records.
-    let sp = c.span("prepare");
-    let plan = plan_exchange_with(c, &keys, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    let sp = c.span("exchange");
-    c.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let buckets: Vec<Vec<T>> = plan
-        .segments(local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    let received = c.exchange(buckets, cfg.exchange_algo);
-    stats.exchange_ns = sp.finish();
-
-    // Phase 4: stable re-sort (or hybrid stable merge) of the
-    // received records — past this point the exchange has committed
-    // and the attempt can no longer be interrupted.
-    let sp = c.span("merge");
-    let intra = c.intra_span("merge");
-    let n_recv: u64 = received.total_len() as u64;
-    c.charge(Work::SortElems {
-        n: n_recv,
-        elem_bytes: elem,
-    });
-    if c.threads().budget() > 1 {
-        let te = c.threads().exec_budget();
-        *local =
-            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
-                key_fn(a).cmp(&key_fn(b))
-            });
-    } else {
-        *local = received.into_data();
-        local.sort_by_key(|x| key_fn(x));
-    }
-    drop(intra);
-    stats.merge_ns = sp.finish();
-}
-
-/// Phases 2-4 on already-sorted local data, with an optional
-/// warm-start splitter stash. With
-/// `Some(warm)`, the splitter search seeds its brackets from the keys
-/// in `warm` (empty = cold start, identical to `None`), and the
-/// accepted splitter keys of *this* attempt are written back as soon
-/// as the search returns — so a crash later in the attempt (during
-/// the exchange) still warm-starts the retry.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline_warm<K: Key>(
-    comm: &Comm,
-    sorted_local: &mut Vec<K>,
-    targets: &[u64],
-    slack: u64,
-    n_total: u64,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    warm: Option<&mut Vec<K>>,
-) {
-    let elem = std::mem::size_of::<K>() as u64;
-
-    // Phase 2: splitter determination by iterative histogramming.
-    let sp = comm.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let seed: &[K] = warm.as_deref().map_or(&[], Vec::as_slice);
-    let splitters = find_splitters_seeded(comm, sorted_local, targets, slack, opts, seed);
-    if let Some(w) = warm {
-        *w = splitters.splitters.iter().map(|s| s.key).collect();
-    }
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, comm.size());
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3a: exchange preparation (Algorithm 4).
-    let sp = comm.span("prepare");
-    let plan = plan_exchange_with(comm, sorted_local, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    match cfg.exchange {
-        ExchangeStrategy::AllToAllv => {
-            // Phase 3b: ALL-TO-ALLV.
-            let sp = comm.span("exchange");
-            let received = exchange_data(comm, sorted_local, &plan, cfg.exchange_algo);
-            stats.exchange_ns = sp.finish();
-
-            // Phase 4: local merge of the received sorted runs,
-            // consumed in place from the contiguous receive buffer.
-            // With an intra-rank thread budget the merge dispatches to
-            // the chunked parallel k-way kernel over the borrowed
-            // runs; charges always follow the *configured* engine, so
-            // the virtual clock is identical for every budget.
-            let sp = comm.span("merge");
-            let intra = comm.intra_span("merge");
-            let t = comm.threads().budget();
-            let n_recv = received.total_len() as u64;
-            let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-            match cfg.merge {
-                MergeAlgo::Resort => {
-                    // The received runs are already sorted, so merge
-                    // them with the flat pairwise tree instead of
-                    // re-sorting the flat buffer — an algorithmic win
-                    // at every thread budget. The merge ping-pongs
-                    // between the receive buffer and the retired local
-                    // array, so it allocates nothing n-sized. Output is
-                    // the same sorted key sequence; the charge is the
-                    // modelled re-sort, as configured.
-                    charge_local_sort::<K>(comm, n_recv, cfg.local_sort);
-                    let te = comm.threads().exec_budget();
-                    let retired = std::mem::take(sorted_local);
-                    let (data, counts) = received.into_parts();
-                    *sorted_local =
-                        dhs_shm::flat_tree_merge_packed(kernels, data, &counts, retired, te);
-                }
-                _ => {
-                    comm.charge(Work::MergeElems {
-                        n: n_recv,
-                        ways: ways.max(2),
-                        elem_bytes: elem,
-                    });
-                    *sorted_local = if t > 1 {
-                        let te = comm.threads().exec_budget();
-                        dhs_shm::parallel_kway_chunked(&received.as_slices(), te, cfg.merge)
-                    } else {
-                        kway_merge(cfg.merge, &received.as_slices())
-                    };
-                }
-            }
-            drop(intra);
-            stats.merge_ns = sp.finish();
-        }
-        ExchangeStrategy::PairwiseMerge { overlap } => {
-            // Phases 3b+4 fused: pairwise rounds, merging eagerly.
-            let sp = comm.span("exchange");
-            let (merged, _) =
-                crate::overlap::exchange_and_merge(comm, sorted_local, &plan, overlap);
-            *sorted_local = merged;
-            stats.exchange_ns = sp.finish();
-        }
     }
 }
 
@@ -1638,6 +1373,57 @@ mod tests {
             records.len()
         });
         assert!(out.iter().all(|(l, _)| *l == 250));
+    }
+
+    #[test]
+    fn abort_and_recovering_policies_agree_without_faults() {
+        type PerRank<T> = Vec<(Vec<T>, SortOutcome, u32, u64)>;
+        type SortFn<T> = fn(&Comm, &mut Vec<T>, &SortConfig) -> SortStats;
+        fn per_rank<T: Send + 'static>(
+            p: usize,
+            cfg: SortConfig,
+            input: fn(usize) -> Vec<T>,
+            sort: SortFn<T>,
+        ) -> PerRank<T> {
+            let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+                let mut local = input(comm.rank());
+                let stats = sort(comm, &mut local, &cfg);
+                (local, stats.outcome, stats.iterations, stats.probes)
+            });
+            out.into_iter().map(|(r, _)| r).collect()
+        }
+        // Abort runs exactly the attempt Shrink checkpoints and retries,
+        // so without faults both policies sort and search identically.
+        fn both<T: Send + PartialEq + fmt::Debug + 'static>(
+            p: usize,
+            unique: bool,
+            input: fn(usize) -> Vec<T>,
+            sort: SortFn<T>,
+        ) {
+            let cfg = |recovery| {
+                SortConfig::builder()
+                    .recovery(recovery)
+                    .unique_transform(unique)
+                    .build()
+                    .expect("valid config")
+            };
+            assert_eq!(
+                per_rank(p, cfg(RecoveryPolicy::Abort), input, sort),
+                per_rank(p, cfg(RecoveryPolicy::Shrink), input, sort),
+                "p={p} unique={unique}"
+            );
+        }
+        for p in [4, 7] {
+            for unique in [false, true] {
+                both(p, unique, |r| keys_for(r, 600, 1 << 12), histogram_sort);
+            }
+            both(
+                p,
+                false,
+                |r| keys_for(r, 600, 1 << 8).into_iter().zip(0u32..).collect(),
+                |comm, local, cfg| histogram_sort_by(comm, local, |x: &(u64, u32)| x.0, cfg),
+            );
+        }
     }
 
     #[test]

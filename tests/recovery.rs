@@ -269,6 +269,64 @@ fn shrink_recovers_record_sort() {
     }
 }
 
+/// A crash in the exchange, past the splitter search, retries from the
+/// splitters that search accepted — with the uniqueness transform as
+/// without it: on distinct keys both retries take the same number of
+/// rounds, fewer than the first attempt's cold search.
+#[test]
+fn exchange_crash_retry_warm_starts_with_unique_transform() {
+    let (p, n, victim) = (8, 2000, 5);
+    // Distinct keys: an odd multiplier permutes the u64s.
+    let keys = move |rank: usize| -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| (i * p as u64 + rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
+    };
+    let go = |unique: bool| -> (u32, Vec<u32>) {
+        let cfg = SortConfig::builder()
+            .recovery(RecoveryPolicy::Shrink)
+            .unique_transform(unique)
+            .build()
+            .expect("valid config");
+        let c = cfg.clone();
+        let clean = run(&ClusterConfig::small_cluster(p), move |comm| {
+            histogram_sort(comm, &mut keys(comm.rank()), &c)
+        });
+        // The victim dies inside its exchange span: past the splitter
+        // search and the plan, before the ALL-TO-ALLV commits.
+        let s = &clean[victim].0;
+        let at_ns = s.total_ns() - s.merge_ns - s.exchange_ns + 1;
+        let cluster = ClusterConfig::small_cluster(p)
+            .with_fault(FaultPlan::seeded(3).with_crash(victim, at_ns));
+        let out = try_run_partial(&cluster, move |comm| {
+            histogram_sort(comm, &mut keys(comm.rank()), &cfg)
+        });
+        let retry = (0..p)
+            .filter(|&r| r != victim)
+            .map(|r| {
+                let (stats, _) = out.ranks[r]
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("survivor {r} failed: {e}"));
+                assert!(
+                    matches!(stats.outcome, SortOutcome::Recovered { restarts: 1, .. }),
+                    "unique={unique} survivor {r}: {:?}",
+                    stats.outcome
+                );
+                stats.iterations
+            })
+            .collect();
+        (s.iterations, retry)
+    };
+    let (cold, plain) = go(false);
+    let (cold_u, unique) = go(true);
+    assert_eq!(cold, cold_u, "the first, cold searches differ");
+    assert_eq!(plain, unique, "unique_transform changed the retry's search");
+    assert!(
+        plain.iter().all(|&it| it < cold),
+        "retry {plain:?} vs cold {cold}"
+    );
+}
+
 /// A bounded retransmission budget turns an unreachable peer into a
 /// typed `RetriesExhausted` failure instead of an unbounded retry
 /// loop, and the failure is the run's root cause under Abort.
@@ -368,10 +426,11 @@ proptest! {
     /// Shrink-equivalence (ε = 0, perfect partitioning): the recovered
     /// survivor output is byte-identical to directly sorting the
     /// survivors' retained inputs on a fresh `p − f` communicator —
-    /// across crash timing, stragglers on/off, and thread budgets.
-    /// (With ε = 0 the realized boundaries are exact, so the output
-    /// partition is independent of *which* splitter keys were accepted
-    /// warm versus cold.)
+    /// across crash timing, stragglers on/off, thread budgets, and the
+    /// uniqueness transform (tagged per attempt). (With ε = 0 the
+    /// realized boundaries are exact, so the output partition is
+    /// independent of *which* splitter keys were accepted warm versus
+    /// cold.)
     #[test]
     fn recovered_output_matches_direct_survivor_sort(
         crash_ns in 1u64..600_000,
@@ -379,6 +438,7 @@ proptest! {
         straggle in any::<bool>(),
         four_threads in any::<bool>(),
         modulus_pow in 3u32..40,
+        unique in any::<bool>(),
     ) {
         let p = 6;
         let victim = 2;
@@ -390,7 +450,13 @@ proptest! {
             plan = plan.with_straggler(4, 3.0);
         }
         let cluster = ClusterConfig::small_cluster(p).with_fault(plan);
-        let sort_cfg = shrink_cfg(threads);
+        let cfg = SortConfig::builder()
+            .recovery(RecoveryPolicy::Shrink)
+            .threads_per_rank(threads)
+            .unique_transform(unique)
+            .build()
+            .expect("valid config");
+        let sort_cfg = cfg.clone();
         let recovered = try_run_partial(&cluster, move |comm| {
             let mut local = keys_for(comm.rank(), n, modulus);
             histogram_sort(comm, &mut local, &sort_cfg);
@@ -402,7 +468,7 @@ proptest! {
             // fault-free sort of exactly their inputs on p − 1 ranks.
             let survivors: Vec<usize> = (0..p).filter(|&r| r != victim).collect();
             let sv = survivors.clone();
-            let direct_cfg = shrink_cfg(threads);
+            let direct_cfg = cfg.clone();
             let direct = run(&ClusterConfig::small_cluster(p - 1), move |comm| {
                 let mut local = keys_for(sv[comm.rank()], n, modulus);
                 histogram_sort(comm, &mut local, &direct_cfg);
@@ -418,7 +484,7 @@ proptest! {
         } else {
             // Deadline fell past the victim's completion: nothing
             // crashed, so the run must equal the fault-free full sort.
-            let direct_cfg = shrink_cfg(threads);
+            let direct_cfg = cfg.clone();
             let direct = run(&ClusterConfig::small_cluster(p), move |comm| {
                 let mut local = keys_for(comm.rank(), n, modulus);
                 histogram_sort(comm, &mut local, &direct_cfg);
