@@ -111,7 +111,7 @@ fn ams_level<K: Key>(
             .map(|_| local[(rng.next_u64() % local.len() as u64) as usize])
             .collect()
     };
-    let splitters: Vec<K> = cur.gather_reduce(
+    let splitters = cur.gather_reduce(
         sample,
         move |gathered| {
             let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
@@ -134,12 +134,12 @@ fn ams_level<K: Key>(
     });
     let mut cuts: Vec<usize> = Vec::with_capacity(buckets_n + 1);
     cuts.push(0);
-    for s in &splitters {
+    for s in splitters.iter() {
         cuts.push(local.partition_point(|x| *x <= *s));
     }
     cuts.push(local.len());
     let local_sizes: Vec<u64> = cuts.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
-    let global_sizes = cur.allreduce_sum(local_sizes);
+    let global_sizes = cur.allreduce_sum(&local_sizes);
 
     // 3. Overpartitioning: assign contiguous buckets to groups by
     //    measured size, targeting n_total/k per group.

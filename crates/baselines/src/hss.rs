@@ -245,7 +245,7 @@ fn hss_find_splitters<K: Key>(
                 (i as u32, want as f64 / span as f64)
             })
             .collect();
-        let probe_per_active: Vec<Option<K>> = comm.gather_reduce(
+        let probe_per_active = comm.gather_reduce(
             flat,
             move |gathered| {
                 // Bucket candidates by target in one pass.
@@ -271,7 +271,7 @@ fn hss_find_splitters<K: Key>(
         );
 
         let mut probes: Vec<(usize, K)> = Vec::with_capacity(active.len());
-        for (&i, probe) in active.iter().zip(&probe_per_active) {
+        for (&i, probe) in active.iter().zip(probe_per_active.iter()) {
             match probe {
                 Some(k) => probes.push((i, *k)),
                 None => {
@@ -312,7 +312,7 @@ fn hss_find_splitters<K: Key>(
             hist.push(sorted_local.partition_point(|x| *x < probe) as u64);
             hist.push(sorted_local.partition_point(|x| *x <= probe) as u64);
         }
-        let global = comm.allreduce_sum(hist);
+        let global = comm.allreduce_sum(&hist);
 
         for (j, &(i, probe)) in probes.iter().enumerate() {
             let (lower, upper) = (global[2 * j], global[2 * j + 1]);

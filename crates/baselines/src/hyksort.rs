@@ -127,7 +127,7 @@ fn hyksort_level<K: Key>(
         bounds.push(local.partition_point(|x| *x < info.key) as u64);
         bounds.push(local.partition_point(|x| *x <= info.key) as u64);
     }
-    let all_bounds: Vec<Vec<u64>> = cur.allgatherv(bounds);
+    let all_bounds = cur.allgatherv(bounds);
     let mut cuts = vec![0usize];
     for (i, info) in found.splitters.iter().enumerate() {
         let mut excess = info.realized - info.global_lower;

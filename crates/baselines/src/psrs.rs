@@ -54,7 +54,7 @@ pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &PsrsConfig) -> AlgoSt
             .map(|i| local[(i * local.len() / p).min(local.len() - 1)])
             .collect()
     };
-    let splitters: Vec<K> = comm.gather_reduce(
+    let splitters = comm.gather_reduce(
         probes,
         move |gathered| {
             let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
@@ -80,7 +80,7 @@ pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &PsrsConfig) -> AlgoSt
     });
     let mut buckets: Vec<Vec<K>> = Vec::with_capacity(p);
     let mut start = 0usize;
-    for spl in &splitters {
+    for spl in splitters.iter() {
         let end = local.partition_point(|x| *x <= *spl);
         buckets.push(local[start..end].to_vec());
         start = end;

@@ -60,7 +60,7 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SampleSortConf
     // Superstep 2: central splitter selection — samples go to a
     // central processor which sorts them, picks P-1 equidistant
     // splitters and broadcasts only those.
-    let splitters: Vec<K> = comm.gather_reduce(
+    let splitters = comm.gather_reduce(
         sample,
         move |gathered| {
             let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
@@ -93,7 +93,7 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SampleSortConf
         searches: splitters.len() as u64,
         n: local.len() as u64,
     });
-    for spl in &splitters {
+    for spl in splitters.iter() {
         let end = local.partition_point(|x| *x <= *spl);
         buckets.push(local[start..end].to_vec());
         start = end;

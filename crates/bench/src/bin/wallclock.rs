@@ -10,14 +10,15 @@
 //! * `full_sort` — end-to-end histogram sort at several (p, n/p)
 //!   points: host seconds per run, plus the (unchanged) virtual
 //!   makespan for cross-reference.
-//! * `exchange_ab` — the exchange superstep A/B: legacy owning path
-//!   (`exchange_data_vecs`: per-bucket `.to_vec()` + boxed
-//!   `alltoallv`) versus the zero-copy path (`exchange_data`:
-//!   borrowed slices into one contiguous `RecvRuns` buffer). The
-//!   largest configuration is the exchange-dominated one the
-//!   ≥2× acceptance target refers to.
+//! * `exchange_ab` — the exchange superstep A/B: the owning side
+//!   copies every plan segment into its own bucket (`.to_vec()`) and
+//!   sends the `Vec<Vec<K>>` payload through `Comm::exchange`; the
+//!   zero-copy side (`exchange_data`) sends the borrowed segments in
+//!   place. Both land in one contiguous `RecvRuns` buffer.
 //! * `collectives_ab` — owning versus shared read-only collectives
-//!   (`allreduce_sum` / `exscan_sum_vec`) at histogram-like widths.
+//!   (`allreduce_sum` / `exscan_sum_vec`) at histogram-like widths:
+//!   the owning side clones the input and copies the shared result
+//!   out with `.to_vec()`, as callers needing an owned vector do.
 //! * `local_sort_ab` — the local-sort phase A/B: the serial
 //!   `threads_per_rank = 1` execution path (`sort_unstable`) versus
 //!   the kernel the sort dispatches to at `threads_per_rank = 4`
@@ -90,12 +91,12 @@ use std::time::Instant; // lint: allow-wall-clock
 
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::Args;
-use dhs_core::exchange::{exchange_data, exchange_data_vecs, plan_exchange};
+use dhs_core::exchange::{exchange_data, plan_exchange};
 use dhs_core::{
     find_splitters, find_splitters_cfg, perfect_targets, KernelPolicy, Kernels, LocalSort,
     SortConfig, SplitterOptions,
 };
-use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine};
+use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine, Work};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
 /// Min and median of a sample of host-seconds.
@@ -184,9 +185,10 @@ impl AbCase {
 
 /// A/B the data-exchange superstep, measured through to the form every
 /// consumer needs: one contiguous, merge-ready buffer of received keys.
-/// Legacy is the pre-zero-copy data path (per-bucket `to_vec`, boxed
-/// `alltoallv`, flatten of the received `Vec<Vec<K>>`); zero-copy is
-/// borrowed send slices into `RecvRuns` + `into_data()` (a no-op).
+/// Legacy copies each plan segment into an owned bucket (`to_vec`,
+/// with the same `MoveBytes` packing charge as `exchange_data`) and
+/// sends the `Vec<Vec<K>>` payload; zero-copy sends the borrowed
+/// segments. Both receive into `RecvRuns` + `into_data()` (a no-op).
 /// Both paths run inside the same simulated cluster; each rep is timed
 /// between barriers on every rank and rank 0's samples are reported
 /// (all ranks rendezvous in the collective, so rank 0 observes the
@@ -212,8 +214,13 @@ fn bench_exchange(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
             for _ in 0..reps {
                 comm.barrier();
                 let t = Instant::now();
-                let received = exchange_data_vecs(comm, &local, &plan, AllToAllAlgo::OneFactor);
-                let flat: Vec<u64> = received.into_iter().flatten().collect();
+                comm.charge(Work::MoveBytes(local.len() as u64 * 8));
+                let buckets: Vec<Vec<u64>> = plan
+                    .segments(&local)
+                    .into_iter()
+                    .map(|seg| seg.to_vec())
+                    .collect();
+                let flat: Vec<u64> = comm.exchange(buckets, AllToAllAlgo::OneFactor).into_data();
                 std::hint::black_box(&flat);
                 legacy.push(secs(t));
             }
@@ -262,9 +269,9 @@ fn bench_collectives(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
             comm.barrier();
             let t_legacy = Instant::now();
             for _ in 0..reps {
-                let r = comm.allreduce_sum(xs.clone());
+                let r = comm.allreduce_sum(xs.clone()).to_vec();
                 std::hint::black_box(&r);
-                let e = comm.exscan_sum_vec(xs.clone());
+                let e = comm.exscan_sum_vec(xs.clone()).to_vec();
                 std::hint::black_box(&e);
             }
             comm.barrier();
@@ -272,9 +279,9 @@ fn bench_collectives(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
 
             let t_shared = Instant::now();
             for _ in 0..reps {
-                let r = comm.allreduce_sum_shared(&xs);
+                let r = comm.allreduce_sum(&xs);
                 std::hint::black_box(&r);
-                let e = comm.exscan_sum_vec_shared(&xs);
+                let e = comm.exscan_sum_vec(&xs);
                 std::hint::black_box(&e);
             }
             comm.barrier();

@@ -7,10 +7,12 @@
 //! realized boundary is met — the refinement that makes *perfect
 //! partitioning* exact even with duplicate keys.
 //!
-//! The bound matrix is distributed with all-to-all semantics (two
-//! `O(P²)`-element collectives in the paper; one allgather of the same
-//! volume class here), then the payload moves in a single
-//! `ALL-TO-ALLV`.
+//! The paper distributes the bound matrix with two `O(P²)`-element
+//! collectives; each rank only needs the contingent mass of the ranks
+//! before it, so here one `EXCLUSIVE_SCAN` of `O(P)` counts per rank
+//! suffices. The payload then moves in a single `ALL-TO-ALLV`
+//! ([`exchange_data`]), sending the plan's segments of the sorted
+//! local array in place — the one exchange path of every sort.
 
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
 use dhs_shm::kernels::ladder_bounds_typed;
@@ -35,8 +37,7 @@ impl ExchangePlan {
 
     /// Borrow the per-destination segments of the local sorted array:
     /// segment `d` is `local[cuts[d]..cuts[d+1]]`. The one slicing rule
-    /// shared by every exchange path (zero-copy, owning, and the
-    /// record-payload sorts).
+    /// shared by the key and record-payload sorts.
     pub fn segments<'a, T>(&self, local: &'a [T]) -> Vec<&'a [T]> {
         self.cuts.windows(2).map(|w| &local[w[0]..w[1]]).collect()
     }
@@ -134,7 +135,7 @@ pub fn plan_exchange_with<K: Key>(
     // ranks *before* it — one EXCLUSIVE_SCAN (which the paper names as
     // part of this step), O(P) data per rank instead of the full
     // O(P²) bound matrix.
-    let before_me = comm.exscan_sum_vec_shared(&contingents);
+    let before_me = comm.exscan_sum_vec(&contingents);
 
     comm.charge(Work::Compares(s as u64));
     let mut cuts = Vec::with_capacity(p + 1);
@@ -159,13 +160,12 @@ pub fn plan_exchange_with<K: Key>(
     ExchangePlan { cuts }
 }
 
-/// Execute the `ALL-TO-ALLV` zero-copy under the configured schedule:
-/// the plan's segments of `sorted_local` are sent **in place**
-/// (borrowed slices, no bucket materialization) and received into one
-/// contiguous [`RecvRuns`] buffer whose per-source runs are sorted
-/// (contiguous slices of sorted arrays). The `MoveBytes` charge models
-/// the packing pass an MPI implementation still performs, keeping the
-/// virtual clock identical to the owning path. The payload is any
+/// Execute the `ALL-TO-ALLV` under the configured schedule: the plan's
+/// segments of `sorted_local` are sent **in place** (borrowed slices,
+/// no bucket materialization) and received into one contiguous
+/// [`RecvRuns`] buffer whose per-source runs are sorted (contiguous
+/// slices of sorted arrays). The `MoveBytes` charge models the packing
+/// pass an MPI implementation still performs. The payload is any
 /// `Copy` element: plain keys, or the records of a by-key sort.
 pub fn exchange_data<T: Copy + Send + Sync + 'static>(
     comm: &Comm,
@@ -179,28 +179,6 @@ pub fn exchange_data<T: Copy + Send + Sync + 'static>(
     comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
     let segments = plan.segments(sorted_local);
     comm.exchange(&segments[..], algo)
-}
-
-/// Legacy owning exchange: materializes per-destination buckets with
-/// `.to_vec()` and moves them through the boxed-bucket path. Kept for
-/// A/B comparison in the wall-clock harness; [`exchange_data`] is the
-/// production path.
-pub fn exchange_data_vecs<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    plan: &ExchangePlan,
-    algo: AllToAllAlgo,
-) -> Vec<Vec<K>> {
-    let p = comm.size();
-    assert_eq!(plan.cuts.len(), p + 1);
-    let elem = std::mem::size_of::<K>() as u64;
-    comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    let buckets: Vec<Vec<K>> = plan
-        .segments(sorted_local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    comm.exchange(buckets, algo).into_vecs()
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ pub fn histogram_sort_two_level<K: Key>(
     // Level-1 exchange: the g-way plan, but routed so each bucket goes
     // to one member of its group (spread by sender rank).
     let sp = comm.span("prepare");
-    let plan = plan_group_exchange(
+    let send = plan_group_exchange(
         comm,
         local,
         &l1,
@@ -109,7 +109,9 @@ pub fn histogram_sort_two_level<K: Key>(
     stats.prepare_ns += sp.finish();
 
     let sp = comm.span("exchange");
-    let received = exchange_group_data(comm, local, &plan);
+    let received = comm
+        .exchange(&send[..], AllToAllAlgo::OneFactor)
+        .into_data();
     comm.charge(Work::SortElems {
         n: received.len() as u64,
         elem_bytes: elem,
@@ -189,19 +191,17 @@ pub fn histogram_sort_two_level<K: Key>(
     stats
 }
 
-/// Per-destination-rank buckets for the level-1 exchange.
-struct GroupPlan<K> {
-    send: Vec<Vec<K>>,
-}
-
-fn plan_group_exchange<K: Key>(
+/// Per-destination-rank send segments for the level-1 exchange: each
+/// group's slice of `sorted_local` goes to one member of that group,
+/// every other rank gets an empty slice.
+fn plan_group_exchange<'a, K: Key>(
     comm: &Comm,
-    sorted_local: &[K],
+    sorted_local: &'a [K],
     l1: &crate::splitter::SplitterResult<K>,
     g: usize,
     group_start: &dyn Fn(usize) -> usize,
     kernels: Kernels,
-) -> GroupPlan<K> {
+) -> Vec<&'a [K]> {
     let p = comm.size();
     let rank = comm.rank();
     // Reuse the Algorithm 4 refinement over the g-way plan by treating
@@ -238,7 +238,7 @@ fn plan_group_exchange<K: Key>(
             contingents.push(u - l);
         }
     }
-    let before_me = comm.exscan_sum_vec(contingents.clone());
+    let before_me = comm.exscan_sum_vec(&contingents);
     let mut cuts = vec![0usize];
     for (i, info) in l1.splitters.iter().enumerate() {
         let excess = info.realized - info.global_lower;
@@ -253,20 +253,15 @@ fn plan_group_exchange<K: Key>(
     }
 
     comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    let mut send: Vec<Vec<K>> = (0..p).map(|_| Vec::new()).collect();
+    let mut send: Vec<&[K]> = vec![&[]; p];
     for grp in 0..g {
         let gs = group_start(grp);
         let ge = group_start(grp + 1);
         let size_g = (ge - gs).max(1);
         let peer = gs + rank % size_g;
-        send[peer] = sorted_local[cuts[grp]..cuts[grp + 1]].to_vec();
+        send[peer] = &sorted_local[cuts[grp]..cuts[grp + 1]];
     }
-    GroupPlan { send }
-}
-
-fn exchange_group_data<K: Key>(comm: &Comm, _local: &[K], plan: &GroupPlan<K>) -> Vec<K> {
-    comm.exchange(plan.send.clone(), AllToAllAlgo::OneFactor)
-        .into_data()
+    send
 }
 
 #[cfg(test)]

@@ -508,7 +508,7 @@ fn find_splitters_impl<K: Key>(
                         })
                         .collect()
                 };
-                let mut pool: Vec<K> = comm.allgatherv(probes).into_iter().flatten().collect();
+                let mut pool: Vec<K> = comm.allgatherv(probes).iter().flatten().copied().collect();
                 pool.sort_unstable();
                 let n_total: u64 = *targets.last().expect("non-empty").max(&1);
                 targets
@@ -676,7 +676,7 @@ fn find_splitters_impl<K: Key>(
         // probes of all active splitters. The local histogram is viewed
         // in place and the global result is one allocation shared by
         // all ranks; the fatter payload is charged at its true width.
-        let global = comm.allreduce_sum_shared(&histogram);
+        let global = comm.allreduce_sum(&histogram);
 
         // Descend each splitter's probe tree along exactly the path
         // single-probe bisection would walk (Alg. 3 line 9 / Alg. 2 at

@@ -156,7 +156,7 @@ fn comm_build<T: Copy + Send + Sync + 'static>(comm: &Comm, local: Vec<T>) -> Ar
     let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
     let storage = Storage {
         pattern: BlockPattern::new(sizes),
-        partitions: blocks.into_iter().map(RwLock::new).collect(),
+        partitions: blocks.iter().map(|b| RwLock::new(b.clone())).collect(),
     };
     // Every rank builds the same storage value; dedupe to one shared
     // instance through a broadcast of rank 0's Arc.

@@ -1,8 +1,8 @@
-//! Equivalence of the zero-copy exchange path with the legacy owning
-//! path: `exchange(&[&[T]], algo)` must deliver exactly the bytes that
+//! Equivalence of the two payload forms of the personalized exchange:
+//! `exchange(&[&[T]], algo)` must deliver exactly the bytes that
 //! `exchange(Vec<Vec<T>>, algo)` delivers, and — because the α–β cost
 //! model reads only message *lengths*, never payloads — the per-rank
-//! virtual clocks of the two paths must agree to the nanosecond, under
+//! virtual clocks of the two forms must agree to the nanosecond, under
 //! every schedule (including the staged k-way one) and with fault
 //! injection on or off.
 
@@ -35,7 +35,7 @@ fn cluster(p: usize, seed: u64, faults: bool) -> ClusterConfig {
 /// source and the rank's virtual clock afterwards.
 type RankOutcome = (Vec<Vec<u64>>, u64);
 
-fn run_legacy(
+fn run_owned(
     p: usize,
     seed: u64,
     max_len: usize,
@@ -54,7 +54,7 @@ fn run_legacy(
     .collect()
 }
 
-fn run_zero_copy(
+fn run_borrowed(
     p: usize,
     seed: u64,
     max_len: usize,
@@ -85,7 +85,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn slices_path_matches_legacy_data_and_virtual_time(
+    fn borrowed_payload_matches_owned_data_and_virtual_time(
         p in 2usize..9,
         max_len in 0usize..24,
         seed in 0u64..u64::MAX,
@@ -98,37 +98,11 @@ proptest! {
             AllToAllAlgo::HierarchicalLeaders,
             AllToAllAlgo::StagedKWay { k: 3 },
         ][algo_idx];
-        let legacy = run_legacy(p, seed, max_len, algo, faults);
-        let zero_copy = run_zero_copy(p, seed, max_len, algo, faults);
-        for (rank, (l, z)) in legacy.iter().zip(&zero_copy).enumerate() {
+        let owned = run_owned(p, seed, max_len, algo, faults);
+        let borrowed = run_borrowed(p, seed, max_len, algo, faults);
+        for (rank, (l, z)) in owned.iter().zip(&borrowed).enumerate() {
             prop_assert_eq!(&l.0, &z.0, "received data diverged on rank {}", rank);
             prop_assert_eq!(l.1, z.1, "virtual clock diverged on rank {}", rank);
         }
-    }
-}
-
-/// The `alltoall` convenience wrapper rides the slices path; pin its
-/// equivalence with a hand-built one-element-per-peer exchange.
-#[test]
-fn alltoall_matches_single_element_exchange() {
-    let p = 6;
-    let flat = run(&ClusterConfig::supermuc_phase2(p), move |comm| {
-        let send: Vec<u64> = (0..p as u64)
-            .map(|d| comm.rank() as u64 * 100 + d)
-            .collect();
-        comm.alltoall(send)
-    });
-    let boxed = run(&ClusterConfig::supermuc_phase2(p), move |comm| {
-        let send: Vec<Vec<u64>> = (0..p as u64)
-            .map(|d| vec![comm.rank() as u64 * 100 + d])
-            .collect();
-        comm.exchange(send, AllToAllAlgo::OneFactor)
-            .into_vecs()
-            .into_iter()
-            .flatten()
-            .collect::<Vec<u64>>()
-    });
-    for ((f, _), (b, _)) in flat.iter().zip(&boxed) {
-        assert_eq!(f, b);
     }
 }

@@ -64,7 +64,7 @@ where
             // Gather the remaining working set everywhere and finish
             // sequentially (identical on every rank).
             let gathered = comm.allgatherv(active);
-            let mut rest: Vec<K> = gathered.into_iter().flatten().collect();
+            let mut rest: Vec<K> = gathered.iter().flatten().copied().collect();
             comm.charge(Work::SortElems {
                 n: rest.len() as u64,
                 elem_bytes: elem,

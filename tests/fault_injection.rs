@@ -19,7 +19,7 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
         let p = comm.size();
         comm.barrier();
         let bcast = comm.broadcast(0, seed.wrapping_mul(31));
-        let reduce = comm.allreduce_sum(vec![me + seed % 11, me * me]);
+        let reduce = comm.allreduce_sum([me + seed % 11, me * me]).to_vec();
         let gather = comm.allgather(me * 3 + seed % 5);
         let send: Vec<Vec<u64>> = (0..p)
             .map(|d| vec![me * 1000 + d as u64; (seed as usize + d) % 4])
@@ -27,7 +27,7 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
         let a2a: Vec<Vec<u64>> = comm
             .exchange(send, dhs::runtime::AllToAllAlgo::OneFactor)
             .into_vecs();
-        let scan = comm.exscan_sum_vec(vec![me + 1]);
+        let scan = comm.exscan_sum_vec([me + 1]).to_vec();
         let peer = (comm.rank() + 1) % p;
         let from = (comm.rank() + p - 1) % p;
         comm.send(peer, 9, vec![me; 8]);

@@ -165,7 +165,7 @@ fn failure_during_combine_never_aborts_its_waiters() {
                         unreachable!("rank 3 must have failed");
                     }
                     let mine = keys_for(comm.rank(), 4096);
-                    let total = sub.gather_reduce_shared(
+                    let total = sub.gather_reduce(
                         mine.clone(),
                         |inputs: Vec<Vec<u64>>| {
                             in_combine.store(true, Ordering::SeqCst);
@@ -228,7 +228,7 @@ fn dead_combiner_ends_every_waiter_typed() {
                 let what = format!("{engine:?}");
                 let out = within(Duration::from_secs(60), &what.clone(), move || {
                     try_run_partial(&cluster(4, engine), |comm| {
-                        comm.gather_reduce_shared(
+                        comm.gather_reduce(
                             vec![comm.rank() as u64],
                             |_: Vec<Vec<u64>>| -> u64 { panic!("combine died") },
                             |_| 8,
@@ -336,7 +336,7 @@ fn back_to_back(p: usize, engine: RunnerEngine) {
             let mut checked = 0u64;
             for round in 0..GENERATIONS / 2 {
                 comm.barrier();
-                let sum = comm.allreduce_sum_shared(&[me + round, 1]);
+                let sum = comm.allreduce_sum([me + round, 1]);
                 let p = p as u64;
                 assert_eq!(sum[0], p * (p - 1) / 2 + p * round, "round {round}");
                 assert_eq!(sum[1], p);

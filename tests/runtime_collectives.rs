@@ -27,7 +27,7 @@ proptest! {
             }
         }
         for ((_, got), _) in &out {
-            prop_assert_eq!(got, &expect);
+            prop_assert_eq!(&**got, &expect);
         }
     }
 
@@ -40,7 +40,8 @@ proptest! {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let xs: Vec<u64> =
                 (0..width).map(|i| (comm.rank() as u64 + 2) * (i as u64 + 1) + seed % 7).collect();
-            (xs.clone(), comm.exscan_sum_vec(xs))
+            let got = comm.exscan_sum_vec(&xs).to_vec();
+            (xs, got)
         });
         let mut acc = vec![0u64; width];
         for ((xs, got), _) in &out {
@@ -56,6 +57,7 @@ proptest! {
         p in 1usize..8,
         algo_ix in 0usize..4,
         seed in 0u64..100_000,
+        borrowed: bool,
     ) {
         let algo = [AllToAllAlgo::OneFactor, AllToAllAlgo::Bruck,
                     AllToAllAlgo::HierarchicalLeaders,
@@ -66,13 +68,64 @@ proptest! {
             let send: Vec<Vec<u64>> = (0..p)
                 .map(|d| vec![(r * p + d) as u64; (r + d + seed as usize) % 4])
                 .collect();
-            comm.exchange(send, algo).into_vecs()
+            // Either payload form of the one exchange entry point.
+            if borrowed {
+                let segments: Vec<&[u64]> = send.iter().map(Vec::as_slice).collect();
+                comm.exchange(&segments[..], algo).into_vecs()
+            } else {
+                comm.exchange(send, algo).into_vecs()
+            }
         });
         for (dst, (recv, _)) in out.iter().enumerate() {
             for (src, bucket) in recv.iter().enumerate() {
                 prop_assert_eq!(bucket.len(), (src + dst + seed as usize) % 4);
                 prop_assert!(bucket.iter().all(|&x| x == (src * p + dst) as u64));
             }
+        }
+    }
+
+    #[test]
+    fn allgatherv_matches_reference(
+        p in 1usize..10,
+        max_len in 0usize..6,
+        seed in 0u64..100_000,
+    ) {
+        // Ragged per-rank lengths, empty vectors included.
+        let local = move |r: usize| -> Vec<u64> {
+            let len = (seed as usize + 3 * r) % (max_len + 1);
+            (0..len).map(|i| seed ^ ((r as u64) << 16) ^ i as u64).collect()
+        };
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            comm.allgatherv(local(comm.rank()))
+        });
+        let expect: Vec<Vec<u64>> = (0..p).map(local).collect();
+        for (got, _) in &out {
+            prop_assert_eq!(&**got, &expect);
+        }
+    }
+
+    #[test]
+    fn gather_reduce_matches_reference(
+        p in 1usize..10,
+        max_len in 0usize..6,
+        seed in 0u64..100_000,
+    ) {
+        let local = move |r: usize| -> Vec<u64> {
+            let len = (seed as usize + 5 * r) % (max_len + 1);
+            (0..len).map(|i| seed.wrapping_mul(r as u64 + 1).wrapping_add(i as u64)).collect()
+        };
+        // An order-sensitive combine: the concatenation in rank order
+        // and its length, computed once and shared by every rank.
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            comm.gather_reduce(
+                local(comm.rank()),
+                |inputs: Vec<Vec<u64>>| inputs.concat(),
+                |r: &Vec<u64>| 8 * r.len() as u64,
+            )
+        });
+        let expect: Vec<u64> = (0..p).flat_map(local).collect();
+        for (got, _) in &out {
+            prop_assert_eq!(&**got, &expect);
         }
     }
 
